@@ -12,22 +12,26 @@
 //!
 //! ```sh
 //! cargo run --release -p plurality-bench --bin perf_snapshot            # write snapshot
-//! cargo run --release -p plurality-bench --bin perf_snapshot -- --check # CI: compare keys
+//! cargo run --release -p plurality-bench --bin perf_snapshot -- --check # CI gate
 //! ```
 //!
 //! With `--check`, the freshly measured snapshot is *not* written;
-//! instead its keys are compared against the committed baseline, and the
+//! instead it is compared against the committed baseline, and the
 //! process exits non-zero if the baseline contains a metric the fresh
-//! snapshot no longer produces (a silently dropped benchmark).
+//! snapshot no longer produces (a silently dropped benchmark), or if a
+//! `profile/*` counter differs from its committed value. The counters
+//! are deterministic to the digit, so any change to one must be
+//! deliberate; wall-clock keys are checked by name only.
 
 use plurality_agg::{LeaderMfConfig, SyncMfConfig};
+use plurality_bench::{write_suite_json, BENCH_JSON_ENV};
 use plurality_core::cluster::ClusterConfig;
 use plurality_core::leader::LeaderConfig;
 use plurality_core::sync::{SyncConfig, UrnConfig};
 use plurality_core::InitialAssignment;
 use plurality_dist::rng::Xoshiro256PlusPlus;
 use plurality_dist::{sample_binomial, ChannelPattern, Exponential, Gamma, Latency, WaitingTime};
-use plurality_sim::{CalendarQueue, EventQueue};
+use plurality_sim::CalendarQueue;
 use plurality_topology::Topology;
 use rand::RngCore;
 use std::path::PathBuf;
@@ -35,9 +39,9 @@ use std::time::Instant;
 
 /// Measurement effort. [`Effort::full`] produces the committed
 /// snapshot; [`Effort::quick`] backs `--check`, which only needs the
-/// metric-*name* list — every batch and repetition shrinks to near-zero
-/// cost while the names keep a single source of truth (the measurement
-/// code itself).
+/// metric names and the effort-independent `profile/*` counters — every
+/// batch and repetition shrinks to near-zero cost while the names keep a
+/// single source of truth (the measurement code itself).
 #[derive(Clone, Copy)]
 struct Effort {
     timing_samples: usize,
@@ -135,24 +139,6 @@ fn sampler_metrics(metrics: &mut Vec<(String, f64)>, eff: Effort) {
         "sampler/waiting_time_t3_ns".into(),
         median_ns(eff.batch(50_000), eff.timing_samples, || {
             std::hint::black_box(wt.sample_t3(&mut rng));
-        }),
-    ));
-    // `EventQueue` is the calendar queue by default and the binary heap
-    // under `--features legacy-heap`; the explicit `CalendarQueue` key
-    // keeps the calendar implementation on the trajectory even when the
-    // alias is rebound.
-    metrics.push((
-        "sim/event_queue_push_pop_1k_ns".into(),
-        median_ns(eff.batch(50), eff.timing_samples, || {
-            let mut q = EventQueue::with_capacity(1024);
-            for i in 0..1000u32 {
-                q.schedule(f64::from(i.wrapping_mul(2654435761) % 10_000), i);
-            }
-            let mut acc = 0u64;
-            while let Some((_, v)) = q.pop() {
-                acc += u64::from(v);
-            }
-            std::hint::black_box(acc);
         }),
     ));
     metrics.push((
@@ -368,11 +354,11 @@ fn profile_metrics(metrics: &mut Vec<(String, f64)>) {
     metrics.push(("profile/cache_shard_misses".into(), misses as f64));
 }
 
-/// Extracts the metric keys of the `"results"` object of a snapshot file
-/// (one `"name": value` pair per line, as written by
-/// [`criterion::write_suite_json`]).
-fn baseline_keys(text: &str) -> Vec<String> {
-    let mut keys = Vec::new();
+/// Extracts the `(name, value)` pairs of the `"results"` object of a
+/// snapshot file (one `"name": value` pair per line, as written by
+/// [`write_suite_json`]; `null` reads as NaN).
+fn baseline_entries(text: &str) -> Vec<(String, f64)> {
+    let mut entries = Vec::new();
     let mut in_results = false;
     for line in text.lines() {
         let trimmed = line.trim();
@@ -386,17 +372,42 @@ fn baseline_keys(text: &str) -> Vec<String> {
         if trimmed.starts_with('}') {
             break;
         }
-        if let Some(rest) = trimmed.strip_prefix('"') {
-            if let Some(end) = rest.find("\": ") {
-                keys.push(rest[..end].to_string());
-            }
+        if let Some((name, value)) = trimmed
+            .strip_prefix('"')
+            .and_then(|rest| rest.split_once("\": "))
+        {
+            let value = value.trim_end_matches(',').parse().unwrap_or(f64::NAN);
+            entries.push((name.to_string(), value));
         }
     }
-    keys
+    entries
+}
+
+/// The `--check` gate: every baseline key must still be measured, and
+/// every `profile/*` counter must reproduce its committed value exactly
+/// (compared at the file's two-decimal rendering). Returns one line per
+/// failure.
+fn check_against(baseline: &[(String, f64)], fresh: &[(String, f64)]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (key, committed) in baseline {
+        match fresh.iter().find(|(name, _)| name == key) {
+            None => failures.push(format!("{key}: missing from the fresh snapshot")),
+            Some((_, value)) if key.starts_with("profile/") => {
+                let rendered: f64 = format!("{value:.2}").parse().unwrap_or(f64::NAN);
+                if rendered != *committed {
+                    failures.push(format!(
+                        "{key}: committed {committed:.2}, measured {value:.2}"
+                    ));
+                }
+            }
+            Some(_) => {}
+        }
+    }
+    failures
 }
 
 fn snapshot_dir() -> PathBuf {
-    std::env::var(criterion::BENCH_JSON_ENV)
+    std::env::var(BENCH_JSON_ENV)
         .map(PathBuf::from)
         .unwrap_or_else(|_| PathBuf::from("benchmarks"))
 }
@@ -404,7 +415,8 @@ fn snapshot_dir() -> PathBuf {
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let path = snapshot_dir().join("BENCH_perf_snapshot.json");
-    // --check only compares metric names, so measure at token effort.
+    // --check gates names and deterministic counters only, so measure
+    // at token effort.
     let eff = if check {
         Effort::quick()
     } else {
@@ -434,22 +446,21 @@ fn main() {
             eprintln!("cannot read committed baseline {}: {e}", path.display());
             std::process::exit(1);
         });
-        let fresh: Vec<&str> = metrics.iter().map(|(name, _)| name.as_str()).collect();
-        let missing: Vec<String> = baseline_keys(&baseline)
-            .into_iter()
-            .filter(|key| !fresh.contains(&key.as_str()))
-            .collect();
-        if missing.is_empty() {
+        let baseline = baseline_entries(&baseline);
+        let failures = check_against(&baseline, &metrics);
+        if failures.is_empty() {
             println!(
-                "check ok: all {} baseline metrics present",
-                baseline_keys(&baseline).len()
+                "check ok: all {} baseline metrics present, profile counters exact",
+                baseline.len()
             );
         } else {
-            eprintln!("baseline metrics missing from fresh snapshot: {missing:?}");
+            for failure in &failures {
+                eprintln!("perf snapshot check failed: {failure}");
+            }
             std::process::exit(1);
         }
     } else {
-        criterion::write_suite_json(
+        write_suite_json(
             &path,
             "perf_snapshot",
             "ns per op (…_ns), wall-clock ms (…_ms), ratios otherwise",
@@ -457,5 +468,49 @@ fn main() {
         )
         .expect("write snapshot");
         println!("wrote {}", path.display());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rows(pairs: &[(&str, f64)]) -> Vec<(String, f64)> {
+        pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+    }
+
+    #[test]
+    fn gate_is_exact_on_profile_counters_and_by_name_elsewhere() {
+        let baseline = rows(&[("engine/leader_ms", 5.32), ("profile/pops", 36893.0)]);
+        // Wall-clock keys may move freely.
+        let fresh = rows(&[("engine/leader_ms", 50.0), ("profile/pops", 36893.0)]);
+        assert!(check_against(&baseline, &fresh).is_empty());
+        // A changed counter fails, naming the key and both values.
+        let fresh = rows(&[("engine/leader_ms", 5.32), ("profile/pops", 36894.0)]);
+        let failures = check_against(&baseline, &fresh);
+        assert_eq!(
+            failures,
+            ["profile/pops: committed 36893.00, measured 36894.00"]
+        );
+        // A dropped key fails.
+        let fresh = rows(&[("profile/pops", 36893.0)]);
+        assert_eq!(check_against(&baseline, &fresh).len(), 1);
+    }
+
+    #[test]
+    fn baseline_entries_round_trip_the_written_format() {
+        let dir = std::env::temp_dir().join("plurality_perf_snapshot_test");
+        let path = dir.join("BENCH_perf_snapshot.json");
+        let written = rows(&[
+            ("a/x_ns", 1.5),
+            ("profile/pops", 36893.0),
+            ("b/nan", f64::NAN),
+        ]);
+        write_suite_json(&path, "perf_snapshot", "mixed", &written).expect("write");
+        let read = baseline_entries(&std::fs::read_to_string(&path).expect("read"));
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(read[..2], written[..2]);
+        assert_eq!(read[2].0, "b/nan");
+        assert!(read[2].1.is_nan());
     }
 }

@@ -15,6 +15,9 @@
 //! `ceil((i+1)·f) > ceil(i·f)` for hot fraction `f` — so exactly
 //! `ceil(requests·f)` requests cycle through the `--hot-pairs` shared
 //! `(spec, seed)` pairs and the rest get a globally unique cold seed.
+//! Cold seeds count up from a per-process base drawn from the clock and
+//! the process id (printed at start), so a second run against the same
+//! daemon — whose cache outlives this process — misses the cache too.
 //! The ceiling (not an RNG draw) matters: the realized hot fraction is
 //! *never below* `f`, which is what makes the `--assert-hit-rate` gate
 //! sound. Before measurement, a warmup pass requests every hot pair
@@ -36,6 +39,7 @@
 //!     --assert-p99-ms 5000
 //! ```
 
+use plurality_dist::rng::derive_seed;
 use plurality_obs::{validate_exposition, Histogram};
 use plurality_serve::{run_target, HttpClient};
 use std::net::SocketAddr;
@@ -86,6 +90,8 @@ struct Config {
     assert_hit_rate: Option<f64>,
     assert_p99_ms: Option<f64>,
     scrape_metrics: bool,
+    /// First cold seed of this process (see [`cold_seed_base`]).
+    cold_base: u64,
 }
 
 /// Per-connection tallies, merged after the join. Latencies go straight
@@ -115,6 +121,7 @@ fn parse_args() -> Config {
         assert_hit_rate: None,
         assert_p99_ms: None,
         scrape_metrics: false,
+        cold_base: cold_seed_base(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -172,6 +179,18 @@ fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> T {
     })
 }
 
+/// A fresh base for this process's cold seeds, in `[2^62, 2^63)`: far
+/// above the hot seeds `1..=hot_pairs`, with room for every request, and
+/// different per process, so cold requests never re-hit the cache
+/// entries of an earlier run against the same daemon.
+fn cold_seed_base() -> u64 {
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos() as u64);
+    let entropy = nanos ^ u64::from(std::process::id());
+    (1 << 62) + (derive_seed(entropy, 0x00C0_1D5E) >> 2)
+}
+
 /// Request `i` is hot iff the ceiling interleave steps at `i` — exactly
 /// `ceil(requests · f)` hot requests, evenly spread.
 fn is_hot(i: usize, f: f64) -> bool {
@@ -225,8 +244,9 @@ fn drive_connection(
             hot_cursor += 1;
             1 + (hot_cursor % config.hot_pairs)
         } else {
-            // Globally unique cold seed: never shared, never re-used.
-            1_000_000 + (conn * config.requests + i) as u64
+            // Unique cold seed: never shared, and never re-used by a
+            // later process (see `cold_seed_base`).
+            config.cold_base + (conn * config.requests + i) as u64
         };
         let sent = Instant::now();
         let response = client
@@ -279,7 +299,7 @@ fn scrape_metrics_midload(addr: SocketAddr) -> Result<(), String> {
 }
 
 fn snapshot_dir() -> PathBuf {
-    std::env::var(criterion::BENCH_JSON_ENV)
+    std::env::var(plurality_bench::BENCH_JSON_ENV)
         .map(PathBuf::from)
         .unwrap_or_else(|_| PathBuf::from("benchmarks"))
 }
@@ -287,7 +307,7 @@ fn snapshot_dir() -> PathBuf {
 fn main() {
     let config = parse_args();
     println!(
-        "driving http://{} — {} connections × {} requests, hot fraction {} over {} pairs, {}",
+        "driving http://{} — {} connections × {} requests, hot fraction {} over {} pairs, {}, cold seeds from {}",
         config.addr,
         config.connections,
         config.requests,
@@ -297,6 +317,7 @@ fn main() {
             Some(rate) => format!("open loop at {rate} specs/sec"),
             None => "closed loop".to_string(),
         },
+        config.cold_base,
     );
 
     let start_gun = Arc::new(Barrier::new(config.connections + 1));
@@ -352,7 +373,7 @@ fn main() {
         ("serve/status_other".into(), sum(|t| t.status_other) as f64),
     ];
     let path = snapshot_dir().join("BENCH_serve.json");
-    criterion::write_suite_json(
+    plurality_bench::write_suite_json(
         &path,
         "serve_load",
         "latency ms (…_ms), throughput specs/sec, counts and ratios otherwise",

@@ -3,8 +3,9 @@
 //! Experiment harness for the `plurality` workspace. Each binary in
 //! `src/bin/` regenerates one figure or quantitative claim of the paper
 //! (see DESIGN.md's per-experiment index and EXPERIMENTS.md for recorded
-//! results); the Criterion benches in `benches/` cover engine and sampler
-//! throughput plus smoke-size versions of the main experiments.
+//! results). The `perf_snapshot` and `plurality_load` binaries write
+//! their committed baselines under `benchmarks/` with
+//! [`write_suite_json`].
 //!
 //! All binaries accept an optional `full` argument (or the environment
 //! variable `PLURALITY_EFFORT=full`) to run at publication scale; the
@@ -146,9 +147,82 @@ pub fn theorem_bias(n: u64, k: u32) -> f64 {
     1.0 + bound.max(10.0 / nf.sqrt())
 }
 
+/// Environment variable naming the directory the `BENCH_<suite>.json`
+/// baselines are written to (default `benchmarks/`).
+pub const BENCH_JSON_ENV: &str = "PLURALITY_BENCH_JSON";
+
+/// Writes a `BENCH_<suite>.json` report: a `suite`/`unit` header plus a
+/// flat `"results"` map with one `"name": value` pair per line, so every
+/// committed baseline under `benchmarks/` has one format.
+///
+/// # Errors
+///
+/// Returns any I/O error from creating the directory or the file.
+pub fn write_suite_json(
+    path: &std::path::Path,
+    suite: &str,
+    unit: &str,
+    results: &[(String, f64)],
+) -> std::io::Result<()> {
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    let mut out = String::from("{\n");
+    out.push_str(&format!("  \"suite\": \"{}\",\n", escape_json(suite)));
+    out.push_str(&format!("  \"unit\": \"{}\",\n", escape_json(unit)));
+    out.push_str("  \"results\": {\n");
+    for (i, (name, value)) in results.iter().enumerate() {
+        let comma = if i + 1 < results.len() { "," } else { "" };
+        // NaN/∞ are not JSON tokens; serialize them as null so one bad
+        // measurement cannot make the whole file unparsable.
+        let rendered = if value.is_finite() {
+            format!("{value:.2}")
+        } else {
+            "null".to_string()
+        };
+        out.push_str(&format!(
+            "    \"{}\": {rendered}{comma}\n",
+            escape_json(name)
+        ));
+    }
+    out.push_str("  }\n}\n");
+    std::fs::write(path, out)
+}
+
+fn escape_json(s: &str) -> String {
+    s.chars()
+        .flat_map(|c| match c {
+            '"' => vec!['\\', '"'],
+            '\\' => vec!['\\', '\\'],
+            c if c.is_control() => format!("\\u{:04x}", c as u32).chars().collect(),
+            c => vec![c],
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_report_is_flat_and_escaped() {
+        let dir = std::env::temp_dir().join("plurality_bench_json_test");
+        let path = dir.join("BENCH_demo.json");
+        let rows = vec![
+            ("group/plain".to_string(), 123.456),
+            ("group/quo\"te".to_string(), 7.0),
+            ("group/broken".to_string(), f64::NAN),
+        ];
+        write_suite_json(&path, "demo", "ns", &rows).expect("write json");
+        let text = std::fs::read_to_string(&path).expect("read back");
+        assert!(text.contains("\"suite\": \"demo\""));
+        assert!(text.contains("\"unit\": \"ns\""));
+        assert!(text.contains("\"group/plain\": 123.46"));
+        assert!(text.contains("group/quo\\\"te"));
+        assert!(text.contains("\"group/broken\": null"));
+        assert!(!text.contains("NaN"), "NaN must never reach the file");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn log_spaced_endpoints_and_monotone() {

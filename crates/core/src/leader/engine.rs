@@ -9,60 +9,23 @@
 //! decision rule of [`crate::leader::decide`], possibly promotes itself, and
 //! notifies the leader with a gen-signal (again subject to travel latency).
 //!
-//! ## Hot-path structure
-//!
-//! Three standard discrete-event reductions keep the event queue small:
-//!
-//! * **Clock superposition** — the union of the population's independent
-//!   Poisson clocks is itself a Poisson process whose rate is the sum of
-//!   the per-node rates, with each event belonging to node `v` with
-//!   probability `rate_v / Σ rate`. The engine therefore keeps *one*
-//!   pending tick event per rate pool (unit-rate nodes, stragglers) and
-//!   samples the ticking node uniformly inside the pool at pop time,
-//!   instead of keeping `n` tick events in the heap.
-//! * **Terminal-leader gating** — once the leader reaches the generation
-//!   cap with propagation open it can provably never transition again
-//!   ([`LeaderState::is_terminal`]), so the long full-consensus tail stops
-//!   scheduling 0-/gen-signal events whose arrival would be unobservable.
-//! * **Displaced-Poisson 0-signals** — on the failure-free path with
-//!   exponential travel latency, the 0-signal *arrival* stream at the
-//!   leader is itself an inhomogeneous Poisson process (displacement
-//!   theorem), and the leader only counts arrivals against its window
-//!   threshold. The engine jumps straight to each threshold-crossing
-//!   time with one `Gamma(κ, 1)` draw per window (see
-//!   [`crate::signalflow`]) instead of scheduling ~`n` signal events per
-//!   time step. Scenario runs and non-exponential latencies keep the
-//!   per-signal path, whose loss/crash modulation is per-event.
-//! * **Tick thinning** — on the jump-chain fast path (no scenario, no
-//!   stragglers) a tick on a *locked* node does nothing at all: the
-//!   0-signal stream is carried by `zero_flow` and the interaction gate
-//!   fails. The engine therefore simulates only the unlocked sub-stream:
-//!   by Poisson splitting, ticks of the `u` unlocked nodes form a Poisson
-//!   process of rate `u` with uniform marks over the unlocked set,
-//!   redrawable (memorylessness) whenever `u` changes. The suppressed
-//!   locked-node ticks only feed the `ticks` telemetry counter, whose
-//!   total is `Poisson(∫ locked(t) dt)` — accrued piecewise and drawn
-//!   once at run end, exact in distribution.
+//! The engine is an `AsyncProtocol` over the shared async core
+//! (`crate::async_core`), which owns the clocks, tick thinning, the
+//! displaced-Poisson 0-signal flow, the event race, scenario effects and
+//! the run bookkeeping; DESIGN.md ("Async core") describes those
+//! hot-path reductions. This module holds only the leader's state
+//! machine wiring: Algorithm 2's node step and Algorithm 3's leader.
 
-use crate::genstate::GenerationTable;
+use crate::async_core::{drive, AsyncCore, AsyncProtocol, Change, Setup};
 use crate::leader::node::{apply, decide, NodeDecision, NodeState, SampleView};
 use crate::leader::state::{LeaderParams, LeaderState, LeaderTransition, Signal};
 use crate::opinion::InitialAssignment;
-use crate::outcome::{ConvergenceTracker, GenerationBirth, RecordLevel, RunOutcome};
-use crate::signalflow::SignalFlow;
-use crate::sync::{generations_needed, GENERATION_CAP};
-use plurality_dist::rng::{derive_seed, Xoshiro256PlusPlus};
-use plurality_dist::{sample_poisson, unit_exp, ChannelPattern, Latency, WaitingTime};
-use plurality_obs::{EngineProfile, TraceEvent, TraceKind, Tracer};
-use plurality_scenario::{Effect, Environment, Scenario};
-use plurality_sim::{EventQueue, PoissonClock, Series};
-use plurality_topology::{Topology, TOPOLOGY_STREAM};
-use rand::Rng;
-
-/// Seed-stream tag for the straggler-identity permutation used on
-/// sparse topologies (private, like [`TOPOLOGY_STREAM`], so it never
-/// perturbs the process stream).
-const STRAGGLER_STREAM: u64 = 0x5752_A661;
+use crate::outcome::{RecordLevel, RunOutcome};
+use plurality_dist::{ChannelPattern, Latency};
+use plurality_obs::{EngineProfile, TraceEvent, TraceKind};
+use plurality_scenario::Scenario;
+use plurality_sim::Series;
+use plurality_topology::Topology;
 
 /// Configuration for a single-leader asynchronous run. Construct with
 /// [`LeaderConfig::new`] and chain the `with_*` setters — or run
@@ -364,103 +327,205 @@ pub struct LeaderResult {
     pub profile: EngineProfile,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    OpComplete {
-        v: u32,
-        a: u32,
-        b: u32,
-        /// The initiator's slot epoch at scheduling time; a join-churn
-        /// event bumps the slot's epoch, voiding in-flight interactions
-        /// of the node the joiner replaced.
-        epoch: u32,
-    },
-    LeaderSignal(Signal),
+/// The single-leader engine: the shared async core plus the leader's
+/// counters and the nodes' stored copies of its state.
+struct Engine {
+    core: AsyncCore<Signal, 2>,
+    leader: LeaderState,
+    /// Stored leader state; starts stale (the leader starts at gen 1).
+    seen_gen: Vec<u32>,
+    seen_prop: Vec<bool>,
+    phases: Vec<GenerationPhase>,
+    two_choices_promotions: u64,
+    propagation_promotions: u64,
+}
+
+impl Engine {
+    /// The leader opened `generation`'s propagation window.
+    fn propagation_enabled(&mut self, now: f64, generation: u32) {
+        self.core.tracer.emit(
+            now,
+            TraceKind::Phase {
+                name: "propagation-enabled",
+                generation,
+                scope: 0,
+            },
+        );
+        // Generations are allowed in order, so phase g sits at index g − 1.
+        if let Some(p) = self.phases.get_mut(generation as usize - 1) {
+            debug_assert_eq!(p.generation, generation);
+            p.propagation_at.get_or_insert(now);
+        }
+        self.core.measure_bias(generation);
+    }
+}
+
+impl AsyncProtocol<2> for Engine {
+    type Msg = Signal;
+    const OBSERVE_PER_NODE: bool = false;
+    const IDLE_TIMEOUT_KEEPS_LAST_EVENT: bool = true;
+
+    #[inline]
+    fn core(&mut self) -> &mut AsyncCore<Signal, 2> {
+        &mut self.core
+    }
+
+    /// Line 1: every tick sends a 0-signal — unless the leader is
+    /// terminal and the arrival would be unobservable.
+    #[inline]
+    fn zero_signal(&self, _v: u32) -> Option<Signal> {
+        (!self.leader.is_terminal()).then_some(Signal::Zero)
+    }
+
+    /// The armed 0-signal window crossed its threshold: batch in the
+    /// whole window's count. The next window arms at the next
+    /// generation allowance.
+    fn on_window(&mut self, now: f64, flow: u32) {
+        self.core.disarm_flow(now, flow);
+        let gap = self.leader.params().zero_signal_threshold - self.leader.zero_count();
+        if let Some(LeaderTransition::PropagationEnabled { generation }) =
+            self.leader.on_zero_batch(gap)
+        {
+            self.propagation_enabled(now, generation);
+        }
+    }
+
+    fn on_op(&mut self, now: f64, v: u32, peers: [u32; 2]) -> bool {
+        let vi = v as usize;
+        if self.core.op_aborted(v, &peers) {
+            self.core.unlock(now, vi);
+            return false;
+        }
+        // The decision/apply pair is the shared transition function
+        // (`leader::node`) the plurality-check model checker drives, so
+        // the checked state machine cannot drift from this engine.
+        let (gens, cols) = (&self.core.gens, &self.core.cols);
+        let mut slot = NodeState {
+            gen: gens[vi],
+            col: cols[vi],
+            seen_gen: self.seen_gen[vi],
+            seen_prop: self.seen_prop[vi],
+        };
+        let sample = |s: u32| SampleView {
+            gen: gens[s as usize],
+            col: cols[s as usize],
+        };
+        let (generation, propagation) = (self.leader.generation(), self.leader.propagation());
+        let [a, b] = peers.map(sample);
+        let decision = decide(slot.view(), a, b, generation, propagation);
+        let signal = apply(&mut slot, decision, generation, propagation);
+        match decision {
+            NodeDecision::Refresh => {
+                self.seen_gen[vi] = slot.seen_gen;
+                self.seen_prop[vi] = slot.seen_prop;
+            }
+            NodeDecision::Adopt {
+                via_two_choices, ..
+            } => {
+                if self.core.adopt(now, vi, slot.gen, slot.col) == Change::Birth {
+                    if let Some(p) = self.phases.get_mut(slot.gen as usize - 1) {
+                        debug_assert_eq!(p.generation, slot.gen);
+                        p.first_promotion_at.get_or_insert(now);
+                    }
+                }
+                if via_two_choices {
+                    self.two_choices_promotions += 1;
+                } else {
+                    self.propagation_promotions += 1;
+                }
+                // A raised generation notifies the leader, unless it is
+                // provably past reacting.
+                if let Some(sig) = signal.filter(|_| !self.leader.is_terminal()) {
+                    self.core.send(now, sig);
+                }
+                if self.core.observe(now) {
+                    return true;
+                }
+            }
+            NodeDecision::Nothing => {}
+        }
+        self.core.unlock(now, vi);
+        false
+    }
+
+    fn on_msg(&mut self, now: f64, signal: Signal) -> bool {
+        match self.leader.on_signal(signal) {
+            Some(LeaderTransition::PropagationEnabled { generation }) => {
+                self.propagation_enabled(now, generation);
+            }
+            Some(LeaderTransition::GenerationAllowed { generation }) => {
+                self.core.tracer.emit(
+                    now,
+                    TraceKind::Phase {
+                        name: "generation-allowed",
+                        generation,
+                        scope: 0,
+                    },
+                );
+                self.phases.push(GenerationPhase {
+                    generation,
+                    allowed_at: now,
+                    first_promotion_at: None,
+                    propagation_at: None,
+                });
+                // The birth reset the 0-signal counter: arm the new
+                // generation's counting window.
+                if self.core.flowing() {
+                    let threshold = self.leader.params().zero_signal_threshold;
+                    self.core.arm_flow(now, 0, threshold);
+                }
+                // Generation g−1 may have matured without its propagation
+                // window ever opening (small k); measure its bias now.
+                if generation >= 2 {
+                    self.core.measure_bias(generation - 1);
+                }
+            }
+            None => {}
+        }
+        false
+    }
+
+    fn reset_slot(&mut self, v: usize) {
+        self.seen_gen[v] = 0;
+        self.seen_prop[v] = false;
+    }
 }
 
 fn run_leader(cfg: &LeaderConfig) -> LeaderResult {
-    let mut rng = Xoshiro256PlusPlus::from_u64(cfg.seed);
-    let opinions = cfg.assignment.materialize(&mut rng);
-    let n = opinions.len();
-    assert!(n >= 2, "single-leader run needs at least 2 nodes");
-    let k = cfg.assignment.k() as usize;
-
-    // Built from a private RNG stream; complete-graph runs consume no
-    // topology randomness and keep the historical process stream intact.
-    let mut sampler = cfg
-        .topology
-        .build(n, derive_seed(cfg.seed, TOPOLOGY_STREAM))
-        .expect("topology must be buildable for this population size");
-
-    // `None` for the empty scenario: the zero-cost fast path, one branch
-    // per event, process RNG stream untouched.
-    let mut env: Option<Environment> = cfg.scenario.for_run(n, cfg.assignment.k(), cfg.seed);
-
-    let mut cols: Vec<u32> = opinions.iter().map(|o| o.index()).collect();
-    let mut gens: Vec<u32> = vec![0; n];
-    let mut locked: Vec<bool> = vec![false; n];
-    // Slot epochs: bumped by join churn to void the replaced node's
-    // in-flight interaction (stays all-zero without a scenario).
-    let mut op_epoch: Vec<u32> = vec![0; n];
-    // Stored leader state; starts stale (leader starts at gen 1).
-    let mut seen_gen: Vec<u32> = vec![0; n];
-    let mut seen_prop: Vec<bool> = vec![false; n];
-
-    let mut table = GenerationTable::from_states(&gens, &cols, k);
-    let initial_counts = table.global_counts();
-    let initial_winner = initial_counts.winner().expect("non-empty population");
-    let initial_bias = initial_counts.bias().unwrap_or(f64::INFINITY);
-
-    let waiting = WaitingTime::new(cfg.latency, ChannelPattern::SingleLeader);
-    // Memoized per (latency, pattern): repetitions share one Monte-Carlo
-    // estimate instead of re-running 20k composite draws each.
-    let c1 = cfg
-        .steps_per_unit
-        .unwrap_or_else(|| waiting.time_unit_cached(20_000));
-
-    let alpha = cfg.alpha_hint.unwrap_or(if initial_bias.is_finite() {
-        initial_bias.max(1.0)
-    } else {
-        2.0
+    let mut core = AsyncCore::new(Setup {
+        assignment: &cfg.assignment,
+        seed: cfg.seed,
+        min_nodes: (2, "single-leader"),
+        topology: &cfg.topology,
+        scenario: &cfg.scenario,
+        latency: cfg.latency,
+        pattern: ChannelPattern::SingleLeader,
+        steps_per_unit: cfg.steps_per_unit,
+        alpha_hint: cfg.alpha_hint,
+        generation_cap: cfg.generation_cap,
+        epsilon: cfg.epsilon,
+        record: cfg.record,
+        trace: cfg.trace,
+        signal_loss: cfg.signal_loss,
+        stragglers: (cfg.straggler_fraction, cfg.straggler_rate),
+        winner_series: true,
     });
-    let cap = cfg
-        .generation_cap
-        .unwrap_or_else(|| generations_needed(n as u64, alpha, GENERATION_CAP));
-
-    let nf = n as f64;
+    let (n, nf, c1, cap) = (core.n, core.n as f64, core.c1, core.cap);
     let zero_signal_threshold =
         (nf * c1 * (cfg.two_choices_units + nf.ln() / nf.sqrt())).ceil() as u64;
-    let gen_size_threshold = (nf * cfg.gen_size_fraction).ceil() as u64;
-    let mut leader = LeaderState::new(LeaderParams {
+    let leader = LeaderState::new(LeaderParams {
         zero_signal_threshold,
-        gen_size_threshold,
+        gen_size_threshold: (nf * cfg.gen_size_fraction).ceil() as u64,
         generation_cap: cap,
     });
-
     let max_time = cfg.max_time.unwrap_or_else(|| {
-        let units = (cap as f64 + 2.0) * (2.0 * (k as f64 + 2.0).log2() + 12.0);
+        let units = (cap as f64 + 2.0) * (2.0 * (core.k as f64 + 2.0).log2() + 12.0);
         let derived = c1 * units + 10.0 * nf.ln() + 100.0;
         // Scripted events must actually fire: stretch the default cap
         // past the scenario horizon plus a recovery tail.
         derived.max(cfg.scenario.horizon() + 10.0 * nf.ln() + 100.0)
     });
-
-    let mut tracker = ConvergenceTracker::new(n as u64, initial_winner, cfg.epsilon);
-    tracker.observe(
-        0.0,
-        table.color_support(initial_winner),
-        table.max_color_support(),
-    );
-
-    let mut tracer = Tracer::new(cfg.trace);
-    let mut phases = Vec::with_capacity(cap as usize + 1);
-    phases.push(GenerationPhase {
-        generation: 1,
-        allowed_at: 0.0,
-        first_promotion_at: None,
-        propagation_at: None,
-    });
-    tracer.emit(
+    core.tracer.emit(
         0.0,
         TraceKind::Phase {
             name: "generation-allowed",
@@ -468,595 +533,61 @@ fn run_leader(cfg: &LeaderConfig) -> LeaderResult {
             scope: 0,
         },
     );
-    let mut births: Vec<GenerationBirth> = Vec::with_capacity(cap as usize + 1);
-    let mut winner_series = matches!(cfg.record, RecordLevel::Full).then(|| {
-        let mut s = Series::new("winner_fraction");
-        s.push(0.0, initial_counts.fraction(initial_winner));
-        s
+    core.start(max_time, 1);
+    // One flow carries the whole 0-signal stream; persistent signal loss
+    // is independent thinning, folded into the send rate.
+    if core.flowing() && core.ticking() {
+        let send_rate = core.pool_rate(cfg.straggler_rate) * (1.0 - cfg.signal_loss);
+        core.set_flow_rate(0.0, 0, send_rate);
+        if send_rate > 0.0 {
+            core.arm_flow(0.0, 0, zero_signal_threshold);
+        }
+    }
+    let mut phases = Vec::with_capacity(cap as usize + 1);
+    phases.push(GenerationPhase {
+        generation: 1,
+        allowed_at: 0.0,
+        first_promotion_at: None,
+        propagation_at: None,
     });
-    let mut next_sample = 1.0f64;
-
-    // Superposed clocks: one pending tick event per rate pool instead of
-    // one per node. Pool *slots* `0..straggler_count` form the straggler
-    // pool (rate `straggler_rate` each), the rest tick at unit rate.
-    let straggler_count = (cfg.straggler_fraction * nf).round() as usize;
-    let fast_count = n - straggler_count;
-    // On the complete graph node ids are exchangeable (`materialize`
-    // shuffles opinions), so slot = node id and stragglers are a uniform
-    // subset — the historical behavior, preserved bitwise. On a sparse
-    // topology ids carry graph structure (preferential-attachment hubs
-    // sit at low ids, ring/torus ids are geometric), so the slots are
-    // mapped through a seeded permutation to keep "a random fraction of
-    // nodes is slow" true rather than silently slowing the hubs or one
-    // contiguous patch. The permutation draws from a private stream, so
-    // the process stream is untouched.
-    let straggler_ids: Option<Vec<u32>> =
-        (straggler_count > 0 && !sampler.is_complete()).then(|| {
-            let mut ids: Vec<u32> = (0..n as u32).collect();
-            let mut srng = Xoshiro256PlusPlus::from_u64(derive_seed(cfg.seed, STRAGGLER_STREAM));
-            for i in (1..n).rev() {
-                let j = srng.gen_range(0..=i);
-                ids.swap(i, j);
-            }
-            ids
-        });
-    // Pending events at any time: ≤ n open interactions plus in-flight
-    // 0-/gen-signals (≈ n·E[T1] for unit-rate ticking) — `3n` covers the
-    // steady state without rehashing.
-    let mut queue: EventQueue<Event> = EventQueue::with_capacity(3 * n);
-    queue.set_trace(cfg.trace);
-    let fast_clock = PoissonClock::new((fast_count as f64).max(1.0)).expect("positive rate");
-    let straggler_clock =
-        PoissonClock::new((straggler_count as f64 * cfg.straggler_rate).max(cfg.straggler_rate))
-            .expect("validated rate");
-    // Each rate pool has exactly one pending tick at any time, so the two
-    // chains live as plain scalars compared against the queue head instead
-    // of cycling through the queue — ticks are the majority event type,
-    // and this removes their entire push/pop traffic. A monochromatic
-    // start schedules nothing: both chains stay at infinity, the queue
-    // stays empty, and the event loop below never runs.
-    let mut fast_tick = f64::INFINITY;
-    let mut straggler_tick = f64::INFINITY;
-    if !table.is_monochromatic() {
-        if fast_count > 0 {
-            fast_tick = fast_clock.next_tick(0.0, &mut rng);
-        }
-        if straggler_count > 0 {
-            straggler_tick = straggler_clock.next_tick(0.0, &mut rng);
-        }
-    }
-    // Displaced-Poisson 0-signal stream (module docs of `signalflow`):
-    // available when no scenario modulates individual signals and the
-    // travel law is exponential. Persistent signal loss is independent
-    // thinning, folded into the effective send rate.
-    let mut zero_flow = match (&env, cfg.latency) {
-        (None, Latency::Exponential { rate }) => Some(SignalFlow::new(rate)),
-        _ => None,
-    };
-    if let Some(flow) = zero_flow.as_mut() {
-        if fast_tick.is_finite() || straggler_tick.is_finite() {
-            let send_rate = (fast_count as f64 + straggler_count as f64 * cfg.straggler_rate)
-                * (1.0 - cfg.signal_loss);
-            flow.set_rate(0.0, send_rate);
-            if send_rate > 0.0 {
-                flow.arm(0.0, zero_signal_threshold, &mut rng);
-            }
-        }
-    }
-
-    // Tick thinning (module docs): with the jump chain active and a
-    // homogeneous clock pool, a locked node's tick is a no-op, so only
-    // the unlocked sub-stream is simulated. `unlocked` lists the
-    // currently unlocked nodes in swap-remove order; `unlocked_pos[v]`
-    // is `v`'s index there (`u32::MAX` while locked). `fast_tick` then
-    // runs at rate `unlocked.len()` instead of `n`.
-    let thinned = zero_flow.is_some() && straggler_count == 0;
-    let (mut unlocked, mut unlocked_pos): (Vec<u32>, Vec<u32>) = if thinned {
-        ((0..n as u32).collect(), (0..n as u32).collect())
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    // Accrued intensity of the suppressed locked-node tick stream, and
-    // the time up to which it has been accrued.
-    let mut tick_exposure = 0.0f64;
-    let mut exposure_from = 0.0f64;
-
-    let mut ticks = 0u64;
-    let mut good_ticks = 0u64;
-    let mut two_choices_promotions = 0u64;
-    let mut propagation_promotions = 0u64;
-    let mut window_crossings = 0u64;
-    let mut thinned_ticks = 0u64;
-    let mut end_time = 0.0f64;
-
-    loop {
-        // Next chain tick; the fast pool wins exact ties (probability
-        // zero: the chains are independent continuous clocks).
-        let (tick_time, tick_straggler) = if fast_tick <= straggler_tick {
-            (fast_tick, false)
-        } else {
-            (straggler_tick, true)
-        };
-        // The jump chain's next 0-signal threshold crossing competes with
-        // the tick chains for the next scheduled instant.
-        let zero_cross = zero_flow.as_ref().map_or(f64::INFINITY, SignalFlow::pred);
-        let forced = tick_time.min(zero_cross);
-        // Queued events win exact time ties against chain ticks — a
-        // probability-zero event, since tick times stay continuous even
-        // under deterministic latencies.
-        let popped = queue.pop_before(forced.min(max_time));
-        let now = match popped {
-            Some((t, _)) => t,
-            None => {
-                if forced > max_time {
-                    // Timed out — unless nothing was ever pending (a
-                    // monochromatic start), where `end_time` stays 0.
-                    if forced.is_finite() {
-                        end_time = max_time;
-                    }
-                    break;
-                }
-                queue.advance_to(forced);
-                forced
-            }
-        };
-        end_time = now;
-        if let Some(env) = env.as_mut() {
-            let effects = env.poll(now);
-            if !effects.is_empty() {
-                for effect in effects {
-                    match effect {
-                        Effect::Joined(joins) => {
-                            tracer.emit(
-                                now,
-                                TraceKind::ScenarioEffect {
-                                    name: "joined",
-                                    count: joins.len() as u64,
-                                },
-                            );
-                            for (v, c) in joins {
-                                let vi = v as usize;
-                                seen_gen[vi] = 0;
-                                seen_prop[vi] = false;
-                                // Void any interaction the replaced node
-                                // still had in flight and free the slot:
-                                // the fresh node starts unentangled.
-                                op_epoch[vi] = op_epoch[vi].wrapping_add(1);
-                                locked[vi] = false;
-                                if (gens[vi], cols[vi]) != (0, c) {
-                                    table.transfer(gens[vi], cols[vi], 0, c);
-                                    gens[vi] = 0;
-                                    cols[vi] = c;
-                                }
-                            }
-                        }
-                        Effect::Corrupt { budget, mode } => {
-                            let targets = env.corruption_targets(budget, mode, &cols, k as u32);
-                            tracer.emit(
-                                now,
-                                TraceKind::ScenarioEffect {
-                                    name: "corrupt",
-                                    count: targets.len() as u64,
-                                },
-                            );
-                            for (v, c) in targets {
-                                let vi = v as usize;
-                                if cols[vi] != c {
-                                    table.transfer(gens[vi], cols[vi], gens[vi], c);
-                                    cols[vi] = c;
-                                }
-                            }
-                        }
-                        Effect::Rewired(s) => {
-                            tracer.emit(
-                                now,
-                                TraceKind::ScenarioEffect {
-                                    name: "rewired",
-                                    count: 1,
-                                },
-                            );
-                            sampler = s;
-                        }
-                        _ => {}
-                    }
-                }
-                tracker.observe(
-                    now,
-                    table.color_support(initial_winner),
-                    table.max_color_support(),
-                );
-                if table.is_monochromatic() {
-                    break;
-                }
-            }
-        }
-        if let Some(series) = winner_series.as_mut() {
-            if now >= next_sample {
-                series.push(now, table.color_support(initial_winner) as f64 / nf);
-                next_sample = now.floor() + 1.0;
-            }
-        }
-        match popped {
-            None if zero_cross <= tick_time => {
-                // The armed 0-signal window crossed its threshold: batch
-                // in the whole window's count at the solved crossing
-                // time. The next window arms at the next generation
-                // birth (a queued gen-signal below).
-                let flow = zero_flow.as_mut().expect("crossing implies a flow");
-                flow.disarm(now);
-                window_crossings += 1;
-                tracer.emit(now, TraceKind::WindowCrossing { scope: 0 });
-                let gap = zero_signal_threshold - leader.zero_count();
-                if let Some(LeaderTransition::PropagationEnabled { generation }) =
-                    leader.on_zero_batch(gap)
-                {
-                    tracer.emit(
-                        now,
-                        TraceKind::Phase {
-                            name: "propagation-enabled",
-                            generation,
-                            scope: 0,
-                        },
-                    );
-                    if let Some(p) = phases.get_mut(generation as usize - 1) {
-                        debug_assert_eq!(p.generation, generation);
-                        p.propagation_at.get_or_insert(now);
-                    }
-                    // Lemma 22: measure the generation's bias when its
-                    // propagation phase opens.
-                    if let Ok(i) = births.binary_search_by_key(&generation, |b| b.generation) {
-                        births[i].bias = table.bias_in(generation).unwrap_or(f64::INFINITY);
-                    }
-                }
-            }
-            None if thinned => {
-                // Thinned fast path (module docs): only unlocked-node
-                // ticks are simulated, so this tick opens an interaction
-                // with certainty — the 0-signal stream is carried by
-                // `zero_flow`, env is `None`, and the suppressed
-                // locked-node ticks are settled in bulk by one
-                // Poisson(exposure) draw after the loop.
-                ticks += 1;
-                good_ticks += 1;
-                tick_exposure += (n - unlocked.len()) as f64 * (now - exposure_from);
-                exposure_from = now;
-                let j = rng.gen_range(0..unlocked.len());
-                let v = unlocked[j];
-                let vi = v as usize;
-                locked[vi] = true;
-                let last = unlocked.len() - 1;
-                let moved = unlocked[last];
-                unlocked[j] = moved;
-                unlocked_pos[moved as usize] = j as u32;
-                unlocked.pop();
-                unlocked_pos[vi] = u32::MAX;
-                fast_tick = if unlocked.is_empty() {
-                    f64::INFINITY
-                } else {
-                    now + unit_exp(&mut rng) / unlocked.len() as f64
-                };
-                let a = sampler.sample(v, &mut rng);
-                let b = sampler.sample(v, &mut rng);
-                let phase = waiting.sample_channel_phase(&mut rng);
-                let epoch = op_epoch[vi];
-                queue.schedule(now + phase, Event::OpComplete { v, a, b, epoch });
-            }
-            None => {
-                // A chain tick. The pool's next tick is redrawn *first*,
-                // preserving the RNG draw order of the queued-tick
-                // implementation this replaced.
-                ticks += 1;
-                let (lo, size) = if tick_straggler {
-                    straggler_tick = straggler_clock.next_tick(now, &mut rng);
-                    (0, straggler_count)
-                } else {
-                    fast_tick = fast_clock.next_tick(now, &mut rng);
-                    (straggler_count, fast_count)
-                };
-                let slot = lo + rng.gen_range(0..size);
-                let vi = match &straggler_ids {
-                    Some(ids) => ids[slot] as usize,
-                    None => slot,
-                };
-                let v = vi as u32;
-                // A crashed node's tick is inert (Poisson thinning): no
-                // 0-signal, no interaction.
-                let crashed = env.as_ref().is_some_and(|e| e.is_crashed(v));
-                let scale = env.as_ref().map_or(1.0, |e| e.latency_scale());
-                // Line 1: the 0-signal travels one latency, without locking.
-                // On the jump-chain fast path the whole stream is counted
-                // by `zero_flow` instead of per-event scheduling. Skipped
-                // outright once the leader is terminal (the arrival would
-                // be unobservable); injected failure — the persistent
-                // `signal_loss` knob or an active scenario burst — may
-                // also lose the signal in transit.
-                if zero_flow.is_none()
-                    && !crashed
-                    && !leader.is_terminal()
-                    && (cfg.signal_loss == 0.0 || rng.gen::<f64>() >= cfg.signal_loss)
-                    && !env.as_mut().is_some_and(|e| e.message_lost())
-                {
-                    let travel = cfg.latency.sample(&mut rng) * scale;
-                    queue.schedule(now + travel, Event::LeaderSignal(Signal::Zero));
-                }
-                if !crashed && !locked[vi] {
-                    good_ticks += 1;
-                    locked[vi] = true;
-                    let a = sampler.sample(v, &mut rng);
-                    let b = sampler.sample(v, &mut rng);
-                    let phase = waiting.sample_channel_phase(&mut rng) * scale;
-                    let epoch = op_epoch[vi];
-                    queue.schedule(now + phase, Event::OpComplete { v, a, b, epoch });
-                }
-            }
-            Some((_, Event::OpComplete { v, a, b, epoch })) => {
-                let vi = v as usize;
-                if epoch != op_epoch[vi] {
-                    // The initiating node was replaced by join churn
-                    // while this interaction was in flight; the fresh
-                    // node in the slot must not inherit it (its lock was
-                    // already released at join time).
-                    continue;
-                }
-                if let Some(env) = env.as_mut() {
-                    // The interaction aborts if anyone on the line is
-                    // crashed at completion time, or if either peer
-                    // channel falls inside a loss burst.
-                    if env.is_crashed(v)
-                        || env.is_crashed(a)
-                        || env.is_crashed(b)
-                        || env.message_lost()
-                        || env.message_lost()
-                    {
-                        locked[vi] = false;
-                        continue;
-                    }
-                }
-                // The node's slot and the decision/apply pair are the shared
-                // transition function (`leader::node`): the plurality-check
-                // model checker drives the identical functions, so the
-                // checked state machine cannot drift from this engine.
-                let mut slot = NodeState {
-                    gen: gens[vi],
-                    col: cols[vi],
-                    seen_gen: seen_gen[vi],
-                    seen_prop: seen_prop[vi],
-                };
-                let s1 = SampleView {
-                    gen: gens[a as usize],
-                    col: cols[a as usize],
-                };
-                let s2 = SampleView {
-                    gen: gens[b as usize],
-                    col: cols[b as usize],
-                };
-                let decision = decide(
-                    slot.view(),
-                    s1,
-                    s2,
-                    leader.generation(),
-                    leader.propagation(),
-                );
-                let signal = apply(
-                    &mut slot,
-                    decision,
-                    leader.generation(),
-                    leader.propagation(),
-                );
-                match decision {
-                    NodeDecision::Refresh => {
-                        seen_gen[vi] = slot.seen_gen;
-                        seen_prop[vi] = slot.seen_prop;
-                    }
-                    NodeDecision::Adopt {
-                        gen,
-                        col,
-                        via_two_choices,
-                    } => {
-                        let (old_gen, old_col) = (gens[vi], cols[vi]);
-                        let is_birth = gen > table.max_generation();
-                        let parent_bias = if is_birth {
-                            table.bias_in(gen - 1).unwrap_or(f64::INFINITY)
-                        } else {
-                            0.0
-                        };
-                        let parent_collision = if is_birth {
-                            table.collision_in(gen - 1)
-                        } else {
-                            0.0
-                        };
-                        if (gen, col) != (old_gen, old_col) {
-                            table.transfer(old_gen, old_col, gen, col);
-                            gens[vi] = slot.gen;
-                            cols[vi] = slot.col;
-                        }
-                        if via_two_choices {
-                            two_choices_promotions += 1;
-                        } else {
-                            propagation_promotions += 1;
-                        }
-                        if is_birth && !matches!(cfg.record, RecordLevel::Outcome) {
-                            births.push(GenerationBirth {
-                                generation: gen,
-                                time: now,
-                                // Filled in when propagation opens (Lemma 22
-                                // measures α at t_i + t′); meanwhile: current.
-                                bias: f64::INFINITY,
-                                parent_bias,
-                                initial_fraction: table.fraction_in(gen),
-                                parent_collision,
-                            });
-                        }
-                        if is_birth {
-                            tracer.emit(now, TraceKind::Birth { generation: gen });
-                            // Generations are allowed in order, so phase g
-                            // sits at index g − 1.
-                            if let Some(p) = phases.get_mut(gen as usize - 1) {
-                                debug_assert_eq!(p.generation, gen);
-                                p.first_promotion_at.get_or_insert(now);
-                            }
-                        }
-                        if let Some(sig) = signal {
-                            // `apply` says the adoption increased the node's
-                            // generation, so a gen-signal departs — unless the
-                            // leader is provably past reacting, or loss (the
-                            // persistent knob or a scenario burst) eats it.
-                            if !leader.is_terminal()
-                                && (cfg.signal_loss == 0.0 || rng.gen::<f64>() >= cfg.signal_loss)
-                                && !env.as_mut().is_some_and(|e| e.message_lost())
-                            {
-                                let scale = env.as_ref().map_or(1.0, |e| e.latency_scale());
-                                let travel = cfg.latency.sample(&mut rng) * scale;
-                                queue.schedule(now + travel, Event::LeaderSignal(sig));
-                            }
-                        }
-                        tracker.observe(
-                            now,
-                            table.color_support(initial_winner),
-                            table.max_color_support(),
-                        );
-                        if table.is_monochromatic() {
-                            locked[vi] = false;
-                            break;
-                        }
-                    }
-                    NodeDecision::Nothing => {}
-                }
-                if thinned {
-                    // Re-admit `v` to the thinned tick stream: settle
-                    // the suppressed-stream exposure, then redraw the
-                    // next tick at the new rate (memorylessness).
-                    tick_exposure += (n - unlocked.len()) as f64 * (now - exposure_from);
-                    exposure_from = now;
-                    locked[vi] = false;
-                    unlocked_pos[vi] = unlocked.len() as u32;
-                    unlocked.push(v);
-                    fast_tick = now + unit_exp(&mut rng) / unlocked.len() as f64;
-                } else {
-                    locked[vi] = false;
-                }
-            }
-            Some((_, Event::LeaderSignal(signal))) => {
-                if let Some(transition) = leader.on_signal(signal) {
-                    match transition {
-                        LeaderTransition::PropagationEnabled { generation } => {
-                            tracer.emit(
-                                now,
-                                TraceKind::Phase {
-                                    name: "propagation-enabled",
-                                    generation,
-                                    scope: 0,
-                                },
-                            );
-                            if let Some(p) = phases.get_mut(generation as usize - 1) {
-                                debug_assert_eq!(p.generation, generation);
-                                p.propagation_at.get_or_insert(now);
-                            }
-                            // Lemma 22: measure the new generation's bias at
-                            // the start of its propagation phase. Births are
-                            // recorded in strictly increasing generation
-                            // order, so binary search applies.
-                            if let Ok(i) =
-                                births.binary_search_by_key(&generation, |b| b.generation)
-                            {
-                                births[i].bias = table.bias_in(generation).unwrap_or(f64::INFINITY);
-                            }
-                        }
-                        LeaderTransition::GenerationAllowed { generation } => {
-                            tracer.emit(
-                                now,
-                                TraceKind::Phase {
-                                    name: "generation-allowed",
-                                    generation,
-                                    scope: 0,
-                                },
-                            );
-                            phases.push(GenerationPhase {
-                                generation,
-                                allowed_at: now,
-                                first_promotion_at: None,
-                                propagation_at: None,
-                            });
-                            // The birth reset the 0-signal counter: arm
-                            // the new generation's counting window.
-                            if let Some(flow) = zero_flow.as_mut() {
-                                flow.arm(now, zero_signal_threshold, &mut rng);
-                            }
-                            // If generation g−1 matured without its
-                            // propagation window ever opening (possible for
-                            // small k, where two-choices alone reaches the
-                            // n/2 threshold), measure its bias now.
-                            if generation >= 2 {
-                                if let Ok(i) =
-                                    births.binary_search_by_key(&(generation - 1), |b| b.generation)
-                                {
-                                    if !births[i].bias.is_finite() {
-                                        births[i].bias =
-                                            table.bias_in(generation - 1).unwrap_or(f64::INFINITY);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    if thinned {
-        // Settle the suppressed locked-node tick stream: its count over
-        // the run is Poisson with the accrued intensity (module docs).
-        // A monochromatic start leaves the exposure at zero and consumes
-        // no RNG, matching the empty event loop above.
-        tick_exposure += (n - unlocked.len()) as f64 * (end_time - exposure_from);
-        if tick_exposure > 0.0 {
-            thinned_ticks = sample_poisson(tick_exposure, &mut rng);
-            ticks += thinned_ticks;
-        }
-    }
-
-    // Queue resizes recorded while tracing become trace events; the
-    // final sort in `Tracer::finish` interleaves them on the time axis.
-    tracer.extend(queue.take_resize_log().into_iter().map(|r| TraceEvent {
-        time: r.at,
-        kind: TraceKind::QueueResize {
-            buckets: r.buckets,
-            width: r.width,
-        },
-    }));
-    let qprof = queue.profile();
-    let profile = EngineProfile {
-        events_popped: qprof.pops,
-        signals_thinned: thinned_ticks,
-        queue_resizes: qprof.resizes,
-        window_crossings,
-    };
-
-    let outcome = RunOutcome {
-        n: n as u64,
-        k: k as u32,
-        initial_winner,
-        initial_bias,
-        final_counts: table.global_counts(),
-        epsilon_time: tracker.epsilon_time(),
-        consensus_time: tracker.consensus_time(),
-        duration: end_time,
-        generations: births,
-    };
-    let final_node_states = matches!(cfg.record, RecordLevel::Full)
-        .then(|| gens.iter().copied().zip(cols.iter().copied()).collect());
-    LeaderResult {
-        outcome,
-        steps_per_unit: c1,
+    let mut engine = Engine {
+        core,
+        leader,
+        seen_gen: vec![0; n],
+        seen_prop: vec![false; n],
         phases,
-        ticks,
-        good_ticks,
+        two_choices_promotions: 0,
+        propagation_promotions: 0,
+    };
+    drive(&mut engine);
+
+    let Engine {
+        core,
+        phases,
         two_choices_promotions,
         propagation_promotions,
-        winner_fraction: winner_series,
+        ..
+    } = engine;
+    let run = core.finish();
+    let final_node_states = matches!(cfg.record, RecordLevel::Full).then(|| {
+        run.gens
+            .iter()
+            .copied()
+            .zip(run.cols.iter().copied())
+            .collect()
+    });
+    LeaderResult {
+        outcome: run.outcome,
+        steps_per_unit: c1,
+        phases,
+        ticks: run.ticks,
+        good_ticks: run.good_ticks,
+        two_choices_promotions,
+        propagation_promotions,
+        winner_fraction: run.winner_fraction,
         final_node_states,
-        trace: tracer.finish(),
-        profile,
+        trace: run.trace,
+        profile: run.profile,
     }
 }
 

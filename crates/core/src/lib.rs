@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+mod async_core;
 pub mod cluster;
 mod genstate;
 pub mod leader;

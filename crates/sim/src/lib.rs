@@ -16,10 +16,9 @@
 //! timestamp ties by insertion order.
 //!
 //! [`EventQueue`] is a [`CalendarQueue`] (O(1) amortized bucketed calendar
-//! queue) by default; the `legacy-heap` cargo feature re-points it at the
-//! original binary-heap [`HeapQueue`]. Both implementations are always
-//! compiled and produce bit-identical pop sequences (see the equivalence
-//! property tests in `tests/queue_properties.rs`).
+//! queue). The original binary-heap [`HeapQueue`] stays as its reference
+//! oracle: the two produce bit-identical pop sequences (see the
+//! equivalence property tests in `tests/queue_properties.rs`).
 //!
 //! ## Example
 //!

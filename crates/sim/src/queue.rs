@@ -13,11 +13,10 @@
 //!   the near-homogeneous Poisson event populations the engines generate:
 //!   O(1) amortized push and pop, lazy power-of-two bucket resizing, and
 //!   the exact `(time, seq)` order of the heap (see the determinism
-//!   argument on the type). This is the default [`EventQueue`].
-//! * [`HeapQueue`] — the original `BinaryHeap` implementation, kept behind
-//!   the `legacy-heap` cargo feature (which re-points the [`EventQueue`]
-//!   alias at it) and as the reference oracle for the cross-implementation
-//!   equivalence property tests in `tests/queue_properties.rs`.
+//!   argument on the type). This is the engines' [`EventQueue`].
+//! * [`HeapQueue`] — the original `BinaryHeap` implementation, kept as the
+//!   reference oracle for the cross-implementation equivalence property
+//!   tests in `tests/queue_properties.rs`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -51,19 +50,9 @@ pub struct ResizeRecord {
     pub width: f64,
 }
 
-/// The event queue used by the engines: [`CalendarQueue`] by default,
-/// [`HeapQueue`] when the `legacy-heap` cargo feature is enabled. Both
-/// types expose the same API and the same `(time, seq)` pop order, so the
-/// alias is a drop-in switch.
-#[cfg(not(feature = "legacy-heap"))]
+/// The event queue used by the engines: the [`CalendarQueue`], whose
+/// `(time, seq)` pop order matches the [`HeapQueue`] oracle.
 pub type EventQueue<E> = CalendarQueue<E>;
-
-/// The event queue used by the engines: [`CalendarQueue`] by default,
-/// [`HeapQueue`] when the `legacy-heap` cargo feature is enabled. Both
-/// types expose the same API and the same `(time, seq)` pop order, so the
-/// alias is a drop-in switch.
-#[cfg(feature = "legacy-heap")]
-pub type EventQueue<E> = HeapQueue<E>;
 
 /// A single scheduled entry of the [`HeapQueue`].
 #[derive(Debug, Clone)]
@@ -101,8 +90,7 @@ impl<E> Ord for QueueEntry<E> {
 
 /// A binary-heap future-event list ordering events by time, breaking ties
 /// by insertion order — the pre-calendar implementation, kept as the
-/// `legacy-heap` feature and as the reference oracle for the equivalence
-/// property tests.
+/// reference oracle for the equivalence property tests.
 ///
 /// # Examples
 ///

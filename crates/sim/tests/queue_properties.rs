@@ -89,7 +89,7 @@ proptest! {
         prop_assert!(q.is_empty());
     }
 
-    // --- Calendar ≡ heap equivalence (the legacy-heap oracle) ---
+    // --- Calendar ≡ heap equivalence (the heap is the oracle) ---
 
     #[test]
     fn calendar_matches_heap_on_random_schedules(
