@@ -392,6 +392,7 @@ impl<M: Copy, const P: usize> AsyncCore<M, P> {
     /// Sends `msg` to its leader: lost with the persistent loss
     /// probability or inside a loss burst, else it arrives after one
     /// travel latency.
+    #[inline]
     pub fn send(&mut self, now: f64, msg: M) {
         if (self.signal_loss == 0.0 || self.rng.gen::<f64>() >= self.signal_loss)
             && !self.env.as_mut().is_some_and(Environment::message_lost)
@@ -403,6 +404,7 @@ impl<M: Copy, const P: usize> AsyncCore<M, P> {
 
     /// Opens an interaction of `v`: samples its peers and schedules the
     /// channel completion.
+    #[inline(always)]
     fn open_op(&mut self, now: f64, v: u32, scale: f64) {
         let peers = std::array::from_fn(|_| self.sampler.sample(v, &mut self.rng));
         let phase = self.waiting.sample_channel_phase(&mut self.rng) * scale;
@@ -413,6 +415,7 @@ impl<M: Copy, const P: usize> AsyncCore<M, P> {
 
     /// Whether a completed interaction aborts: anyone on the line is
     /// crashed, or a peer channel falls inside a loss burst.
+    #[inline]
     pub fn op_aborted(&mut self, v: u32, peers: &[u32; P]) -> bool {
         let Some(env) = self.env.as_mut() else {
             return false;
@@ -423,6 +426,7 @@ impl<M: Copy, const P: usize> AsyncCore<M, P> {
     }
 
     /// Accrues the suppressed locked-node tick intensity up to `now`.
+    #[inline]
     fn accrue(&mut self, now: f64) {
         let locked = self.n - self.unlocked.len();
         self.tick_exposure += locked as f64 * (now - self.exposure_from);
@@ -431,6 +435,7 @@ impl<M: Copy, const P: usize> AsyncCore<M, P> {
 
     /// Redraws the next unlocked-set tick; exact after any change of
     /// its rate by memorylessness.
+    #[inline]
     fn redraw_tick(&mut self, now: f64) {
         let u = self.unlocked.len();
         self.fast_tick = if u == 0 {
@@ -441,6 +446,7 @@ impl<M: Copy, const P: usize> AsyncCore<M, P> {
     }
 
     /// A thinned tick: a uniform unlocked node opens an interaction.
+    #[inline]
     fn thinned_tick(&mut self, now: f64) {
         self.ticks += 1;
         self.good_ticks += 1;
@@ -459,6 +465,7 @@ impl<M: Copy, const P: usize> AsyncCore<M, P> {
 
     /// Releases `v`'s lock; on the thinned path `v` rejoins the ticking
     /// set, so the tick stream is redrawn at its new rate.
+    #[inline]
     pub fn unlock(&mut self, now: f64, v: usize) {
         if self.thinned {
             self.accrue(now);
@@ -472,6 +479,7 @@ impl<M: Copy, const P: usize> AsyncCore<M, P> {
     }
 
     /// Moves node `v` to `(gen, col)`, recording a generation birth.
+    #[inline]
     pub fn adopt(&mut self, now: f64, v: usize, gen: u32, col: u32) -> Change {
         let (old_gen, old_col) = (self.gens[v], self.cols[v]);
         if (gen, col) == (old_gen, old_col) {
@@ -507,6 +515,7 @@ impl<M: Copy, const P: usize> AsyncCore<M, P> {
 
     /// Feeds the convergence tracker; returns true once the population
     /// is monochromatic.
+    #[inline]
     pub fn observe(&mut self, now: f64) -> bool {
         self.tracker.observe(
             now,
@@ -518,6 +527,7 @@ impl<M: Copy, const P: usize> AsyncCore<M, P> {
 
     /// [`Self::adopt`], observing convergence if anything changed;
     /// returns true once the population is monochromatic.
+    #[inline]
     pub fn recolor(&mut self, now: f64, v: usize, gen: u32, col: u32) -> bool {
         self.adopt(now, v, gen, col) != Change::None && self.observe(now)
     }
@@ -626,8 +636,11 @@ pub(crate) fn drive<const P: usize, E: AsyncProtocol<P>>(e: &mut E) {
             }
         };
         core.end_time = now;
-        if core.env.is_some() && apply_effects(e, now) {
-            return;
+        if let Some(env) = core.env.as_mut() {
+            let effects = env.poll(now);
+            if !effects.is_empty() && apply_effects(e, now, effects) {
+                return;
+            }
         }
         let core = e.core();
         if let Some(series) = core.winner_series.as_mut() {
@@ -671,6 +684,7 @@ pub(crate) fn drive<const P: usize, E: AsyncProtocol<P>>(e: &mut E) {
 /// A tick of a clock pool on the unthinned path. The pool's next tick
 /// is redrawn *first*, preserving the draw order of the queued-tick
 /// implementation this replaced.
+#[inline]
 fn chain_tick<const P: usize, E: AsyncProtocol<P>>(e: &mut E, now: f64, straggler: bool) {
     let core = e.core();
     core.ticks += 1;
@@ -704,17 +718,15 @@ fn chain_tick<const P: usize, E: AsyncProtocol<P>>(e: &mut E, now: f64, straggle
     }
 }
 
-/// Applies every scenario effect due at `now`; returns true if the run
+/// Applies the scenario effects due at `now`; returns true if the run
 /// ended (the population became monochromatic).
-fn apply_effects<const P: usize, E: AsyncProtocol<P>>(e: &mut E, now: f64) -> bool {
+fn apply_effects<const P: usize, E: AsyncProtocol<P>>(
+    e: &mut E,
+    now: f64,
+    effects: Vec<Effect>,
+) -> bool {
     // Taken out and restored so effects can mutate the rest of the core.
-    let core = e.core();
-    let mut env = core.env.take().expect("scenario run");
-    let effects = env.poll(now);
-    if effects.is_empty() {
-        core.env = Some(env);
-        return false;
-    }
+    let mut env = e.core().env.take().expect("scenario run");
     let mut mono = false;
     let mut set = |e: &mut E, v: usize, gen: u32, col: u32| {
         let core = e.core();

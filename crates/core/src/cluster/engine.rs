@@ -571,6 +571,7 @@ impl AsyncProtocol<3> for Engine<'_> {
     /// Cluster `c`'s flow crossed its window: batch in the whole
     /// window's arrivals, then re-arm for whatever window the cluster's
     /// counters are in afterwards.
+    #[inline]
     fn on_window(&mut self, now: f64, c: u32) {
         let gap = self
             .window_gap(c)
@@ -579,6 +580,7 @@ impl AsyncProtocol<3> for Engine<'_> {
         self.rearm_flow(now, c);
     }
 
+    #[inline]
     fn on_op(&mut self, now: f64, v: u32, line: [u32; 3]) -> bool {
         let vi = v as usize;
         self.core.unlock(now, vi);
@@ -691,6 +693,7 @@ impl AsyncProtocol<3> for Engine<'_> {
         false
     }
 
+    #[inline]
     fn on_msg(&mut self, now: f64, msg: Member) -> bool {
         match msg {
             Member::Zero { cluster } => self.member_zeros(now, cluster, 1),

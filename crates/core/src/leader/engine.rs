@@ -380,6 +380,7 @@ impl AsyncProtocol<2> for Engine {
     /// The armed 0-signal window crossed its threshold: batch in the
     /// whole window's count. The next window arms at the next
     /// generation allowance.
+    #[inline]
     fn on_window(&mut self, now: f64, flow: u32) {
         self.core.disarm_flow(now, flow);
         let gap = self.leader.params().zero_signal_threshold - self.leader.zero_count();
@@ -390,6 +391,7 @@ impl AsyncProtocol<2> for Engine {
         }
     }
 
+    #[inline]
     fn on_op(&mut self, now: f64, v: u32, peers: [u32; 2]) -> bool {
         let vi = v as usize;
         if self.core.op_aborted(v, &peers) {
@@ -448,6 +450,7 @@ impl AsyncProtocol<2> for Engine {
         false
     }
 
+    #[inline]
     fn on_msg(&mut self, now: f64, signal: Signal) -> bool {
         match self.leader.on_signal(signal) {
             Some(LeaderTransition::PropagationEnabled { generation }) => {
