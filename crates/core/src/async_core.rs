@@ -725,8 +725,6 @@ fn apply_effects<const P: usize, E: AsyncProtocol<P>>(
     now: f64,
     effects: Vec<Effect>,
 ) -> bool {
-    // Taken out and restored so effects can mutate the rest of the core.
-    let mut env = e.core().env.take().expect("scenario run");
     let mut mono = false;
     let mut set = |e: &mut E, v: usize, gen: u32, col: u32| {
         let core = e.core();
@@ -760,6 +758,7 @@ fn apply_effects<const P: usize, E: AsyncProtocol<P>>(
             }
             Effect::Corrupt { budget, mode } => {
                 let core = e.core();
+                let env = core.env.as_mut().expect("scenario run");
                 let targets = env.corruption_targets(budget, mode, &core.cols, core.k);
                 let count = targets.len() as u64;
                 core.tracer.emit(
@@ -788,10 +787,8 @@ fn apply_effects<const P: usize, E: AsyncProtocol<P>>(
             _ => {}
         }
     }
-    let core = e.core();
-    core.env = Some(env);
     if !E::OBSERVE_PER_NODE {
-        mono = core.observe(now);
+        mono = e.core().observe(now);
     }
     mono
 }
